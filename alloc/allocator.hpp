@@ -39,6 +39,7 @@ struct AllocTotals {
   std::uint64_t n_free = 0;
   std::uint64_t n_remote_free = 0;  // freed by a thread that didn't allocate
   std::uint64_t n_flush = 0;        // tcache overflow flush episodes
+  std::uint64_t n_lock = 0;         // central-bin lock acquisitions
   std::uint64_t ns_in_free = 0;     // wall ns inside deallocate()
   std::uint64_t ns_in_flush = 0;    // subset of ns_in_free: flushing
   std::uint64_t ns_in_lock = 0;     // waiting on central-bin locks

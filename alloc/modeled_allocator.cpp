@@ -1,10 +1,12 @@
 // Size-class allocator models over operator new. Three flavours:
 //
 //   je  - jemalloc-shaped: per-thread caches; overflow flushes a fraction
-//         of the bin to a locked central bin, paying the modelled remote
-//         penalty for every block owned by another thread (the paper's
-//         section 3.2 mechanism: batched remote frees overflow the tcache
-//         and serialize on bin locks).
+//         of the bin to the owners' locked arena bins, one lock hold per
+//         distinct home arena (jemalloc's tcache_bin_flush), paying the
+//         modelled remote penalty for every block owned by another
+//         thread under that hold (the paper's section 3.2 mechanism:
+//         batched remote frees overflow the tcache and serialize on bin
+//         locks).
 //   tc  - tcmalloc-shaped: like je, but overflow returns the entire bin
 //         to the central free list in small locked chunks, so contention
 //         on the central lock is worse.
@@ -204,6 +206,7 @@ class ModeledAllocator final : public Allocator {
       for (int c = 0; c < kNumClasses; ++c) {
         drain_deferred(t, c, t.deferred[c].count);
         std::lock_guard<std::mutex> lock(arena.mu);
+        ++t.totals.n_lock;
         while (BlockHeader* b = t.bins[c].pop()) arena.bins[c].push(b);
       }
     }
@@ -216,6 +219,7 @@ class ModeledAllocator final : public Allocator {
       s.totals.n_free += t.totals.n_free;
       s.totals.n_remote_free += t.totals.n_remote_free;
       s.totals.n_flush += t.totals.n_flush;
+      s.totals.n_lock += t.totals.n_lock;
       s.totals.ns_in_free += t.totals.ns_in_free;
       s.totals.ns_in_flush += t.totals.ns_in_flush;
       s.totals.ns_in_lock += t.totals.ns_in_lock;
@@ -317,6 +321,7 @@ class ModeledAllocator final : public Allocator {
     const std::uint64_t t0 = now_ns();
     std::lock_guard<std::mutex> lock(arena.mu);
     t.totals.ns_in_lock += now_ns() - t0;
+    ++t.totals.n_lock;
     FreeList& bin = arena.bins[cls];
     if (bin.count == 0) return nullptr;
     // Refill half a cache's worth so the lock isn't taken per block.
@@ -326,27 +331,46 @@ class ModeledAllocator final : public Allocator {
     return first;
   }
 
-  /// Returns `n` blocks from `list` to their HOME arenas, paying the lock
-  /// per run and the remote penalty (the modelled cross-socket cache-line
-  /// transfer) for every foreign-owned block. `chunk` bounds how many
-  /// blocks move per lock acquisition (tcmalloc-style transfers).
+  /// Returns `n` blocks from `list` to their HOME arenas the way
+  /// jemalloc's tcache_bin_flush does: take up to `chunk` blocks off the
+  /// list, then lock the home arena of the first block left, move every
+  /// block homed there under that one hold, and keep the rest for the
+  /// next pass — one lock hold per distinct home arena per chunk. The
+  /// grouping saves lock holds only: every foreign-owned block still
+  /// pays the remote penalty (the modelled cross-socket cache-line
+  /// transfer), and pays it under the hold. `chunk` bounds how many
+  /// blocks one round moves (tcmalloc-style transfers).
   void central_return(PerThread& t, int tid, FreeList& list, int cls,
                       std::size_t n, std::size_t chunk) {
     while (n > 0 && list.count > 0) {
-      BlockHeader* b = list.pop();
-      Arena& arena = home_arena(b->owner);
-      const std::uint64_t t0 = now_ns();
-      std::lock_guard<std::mutex> lock(arena.mu);
-      t.totals.ns_in_lock += now_ns() - t0;
-      // Move a same-arena run under one lock hold.
-      std::size_t burst = std::min(n, chunk);
-      for (;;) {
-        if (b->owner != tid) spin_for_ns(cfg_.remote_free_penalty_ns);
-        arena.bins[cls].push(b);
-        --n;
-        if (--burst == 0 || n == 0 || list.count == 0) break;
-        if (&home_arena(list.head->owner) != &arena) break;
-        b = list.pop();
+      // Detach the round in pop order, so each arena bin receives its
+      // blocks in the order they left the cache.
+      const std::size_t take = std::min({n, chunk, list.count});
+      n -= take;
+      BlockHeader* rest = nullptr;
+      BlockHeader** tail = &rest;
+      for (std::size_t i = 0; i < take; ++i) {
+        BlockHeader* b = list.pop();
+        *tail = b;
+        tail = &b->next;
+      }
+      *tail = nullptr;
+      while (rest != nullptr) {
+        Arena& arena = home_arena(rest->owner);
+        const std::uint64_t t0 = now_ns();
+        std::lock_guard<std::mutex> lock(arena.mu);
+        t.totals.ns_in_lock += now_ns() - t0;
+        ++t.totals.n_lock;
+        BlockHeader** link = &rest;
+        while (BlockHeader* b = *link) {
+          if (&home_arena(b->owner) != &arena) {
+            link = &b->next;
+            continue;
+          }
+          *link = b->next;
+          if (b->owner != tid) spin_for_ns(cfg_.remote_free_penalty_ns);
+          arena.bins[cls].push(b);
+        }
       }
     }
   }

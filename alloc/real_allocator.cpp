@@ -17,7 +17,7 @@
 // large-allocation bypass), and bytes_mapped/peak. What it deliberately
 // does NOT model: tcache flushes, central-bin lock time, or the spin
 // penalty — the whole point is that the real library pays its real
-// costs, so n_flush/ns_in_flush/ns_in_lock read zero and the figures
+// costs, so n_flush/n_lock/ns_in_flush/ns_in_lock read zero and the figures
 // show actual malloc behavior instead of the model's.
 #include <atomic>
 #include <cstddef>

@@ -102,8 +102,9 @@ BENCHMARK(BM_AmortizedRemoteFree);
 // --smoke: deterministic counter-only sweep. No timing appears in the
 // output, so two runs under EMR_PIN=off with model allocators must be
 // byte-identical — ci/check.sh diffs them as the determinism gate. Each
-// backend that IS linked must keep exact books; names the build could
-// not link are reported as skipped, never as failures.
+// backend that IS linked must keep exact books and print its flush and
+// lock counts for one mixed-owner overflow; names the build could not
+// link are reported as skipped, never as failures.
 
 int smoke_one(const std::string& name) {
   constexpr int kLocal = 512;    // local allocate/free pairs on tid 0
@@ -153,6 +154,46 @@ int smoke_one(const std::string& name) {
   return 0;
 }
 
+// One deterministic mixed-owner flush: kCap + 1 blocks allocated
+// round-robin on kLanes lanes, all freed on lane 0, so lane 0's cache
+// overflows once and every flush set spans all kLanes home arenas. The
+// je model flushes with one central-lock hold per distinct home arena
+// (jemalloc's tcache_bin_flush); more holds than homes fails the smoke.
+int smoke_flush(const std::string& name) {
+  constexpr int kLanes = 3;
+  constexpr std::size_t kCap = 128;
+  constexpr std::size_t kSmall = 240;
+
+  AllocConfig cfg = cfg_for(kLanes);
+  cfg.tcache_cap = kCap;
+  auto a = make_allocator(name, cfg);
+  std::vector<void*> stash;
+  for (std::size_t i = 0; i <= kCap; ++i) {
+    stash.push_back(a->allocate(static_cast<int>(i % kLanes), kSmall));
+  }
+  const emr::alloc::AllocTotals before = a->stats().totals;
+  for (void* p : stash) a->deallocate(0, p);
+  const emr::alloc::AllocTotals after = a->stats().totals;
+
+  const std::uint64_t flushes = after.n_flush - before.n_flush;
+  const std::uint64_t locks = after.n_lock - before.n_lock;
+  const bool je = name == "je" || name == "je_model";
+  const bool ok = !je || locks <= static_cast<std::uint64_t>(kLanes);
+  std::printf("%-9s flush: flushes=%llu locks=%llu homes=%d %s\n",
+              name.c_str(), static_cast<unsigned long long>(flushes),
+              static_cast<unsigned long long>(locks), kLanes,
+              ok ? "ok" : "TOO-MANY-LOCKS");
+  if (!ok) {
+    std::fprintf(stderr,
+                 "bench_micro_alloc: '%s' took %llu lock holds to flush "
+                 "blocks from %d home arenas\n",
+                 name.c_str(), static_cast<unsigned long long>(locks),
+                 kLanes);
+    return 1;
+  }
+  return 0;
+}
+
 int run_smoke() {
   int rc = 0;
   int ran = 0;
@@ -164,6 +205,7 @@ int run_smoke() {
       continue;
     }
     rc |= smoke_one(name);
+    rc |= smoke_flush(name);
     ++ran;
   }
   if (ran == 0) {

@@ -21,8 +21,10 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 "$BUILD_DIR/bench_micro_ds" --smoke
 
 # Allocator smoke: every factory name keeps exact books (alloc/free
-# counts, remote attribution, the >4096 B large-allocation bypass);
-# unavailable real backends are reported as skips, never failures.
+# counts, remote attribution, the >4096 B large-allocation bypass) and
+# prints flushes= and locks= for one mixed-owner tcache overflow; the je
+# model fails it by taking more lock holds than distinct home arenas.
+# Unavailable real backends are reported as skips, never failures.
 "$BUILD_DIR/bench_micro_alloc" --smoke
 
 # Determinism gate: with EMR_PIN=off and model allocators under a fixed

@@ -1186,6 +1186,8 @@ TrialResult Trial::run() {
       alloc_after.totals.n_remote_free - alloc_before.totals.n_remote_free;
   r.alloc_diff.totals.n_flush =
       alloc_after.totals.n_flush - alloc_before.totals.n_flush;
+  r.alloc_diff.totals.n_lock =
+      alloc_after.totals.n_lock - alloc_before.totals.n_lock;
   r.alloc_diff.totals.ns_in_free =
       alloc_after.totals.ns_in_free - alloc_before.totals.ns_in_free;
   r.alloc_diff.totals.ns_in_flush =

@@ -47,6 +47,8 @@ struct alignas(64) EbrSlot {
   alignas(64) std::vector<void*> bag;
   std::deque<SealedBag> sealed;
   std::uint64_t ops = 0;
+  // Bumped by the owner on every retire, summed by stats().
+  std::atomic<std::uint64_t> n_retired{0};
 };
 static_assert(alignof(EbrSlot) == 64 && sizeof(EbrSlot) % 64 == 0,
               "EbrSlot must tile cache lines so announce never shares "
@@ -81,10 +83,7 @@ class EbrReclaimer final : public Reclaimer {
   }
 
   SmrStats stats() const override {
-    SmrStats st;
-    st.retired = retired_.load(std::memory_order_relaxed);
-    st.freed = executor_->total_freed();
-    st.pending = st.retired - st.freed;
+    SmrStats st = retire_ledger(*executor_, slots_);
     st.epochs_advanced = epochs_advanced_.load(std::memory_order_relaxed);
     return st;
   }
@@ -121,7 +120,7 @@ class EbrReclaimer final : public Reclaimer {
 
   void retire_slot(int slot_idx, void* p) override {
     EbrSlot& s = slot(slot_idx);
-    retired_.fetch_add(1, std::memory_order_relaxed);
+    s.n_retired.fetch_add(1, std::memory_order_relaxed);
     s.bag.push_back(p);
     if (s.bag.size() >= seal_threshold()) {
       seal(s);
@@ -213,7 +212,8 @@ class EbrReclaimer final : public Reclaimer {
     if (epoch_.compare_exchange_strong(expected, e + 1,
                                        std::memory_order_acq_rel)) {
       epochs_advanced_.fetch_add(1, std::memory_order_relaxed);
-      record_progress_beat(ctx_, slot_idx, e + 1, stats().pending);
+      record_progress_beat(ctx_, slot_idx, e + 1,
+                           [this] { return stats().pending; });
     }
   }
 
@@ -223,7 +223,6 @@ class EbrReclaimer final : public Reclaimer {
   std::vector<EbrSlot> slots_;
   std::atomic<std::size_t> seal_threshold_{1};
   std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::uint64_t> retired_{0};
   std::atomic<std::uint64_t> epochs_advanced_{0};
 };
 

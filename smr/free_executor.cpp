@@ -58,7 +58,6 @@ void FreeExecutor::timed_free_as(int stats_lane, int alloc_lane, void* p) {
   } else {
     ctx_.allocator->deallocate(alloc_lane, p);
   }
-  freed_.fetch_add(1, std::memory_order_relaxed);
   lane_state(stats_lane).drained.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -71,7 +70,6 @@ void FreeExecutor::timed_hint_free(int stats_lane, int alloc_lane, void* p) {
   } else {
     ctx_.allocator->free_local_hint(alloc_lane, p);
   }
-  freed_.fetch_add(1, std::memory_order_relaxed);
   lane_state(stats_lane).drained.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -183,6 +181,14 @@ void FreeExecutor::on_lane_released(int lane) {
   s.flushed.fetch_add(bag.size(), std::memory_order_relaxed);
   s.backlog.fetch_sub(bag.size(), std::memory_order_relaxed);
   on_adopted(lane, std::move(bag));
+}
+
+std::uint64_t FreeExecutor::total_freed() const {
+  std::uint64_t t = 0;
+  for (const LaneState& l : lanes_) {
+    t += l.drained.load(std::memory_order_relaxed);
+  }
+  return t;
 }
 
 std::uint64_t FreeExecutor::total_stashed() const {
@@ -562,7 +568,7 @@ void* PoolingFreeExecutor::alloc_node(int lane_idx, std::size_t size) {
       }
       f.size.store(f.nodes.size(), std::memory_order_relaxed);
       pooled_allocs_.fetch_add(1, std::memory_order_relaxed);
-      freed_.fetch_add(1, std::memory_order_relaxed);  // left limbo via reuse
+      // Left limbo via reuse: counted drained like a free.
       lane_state(lane_idx).drained.fetch_add(1, std::memory_order_relaxed);
       return p;
     }

@@ -66,6 +66,8 @@ struct alignas(64) EraThread {
   alignas(64) std::vector<RetiredNode> retired;
   std::size_t scan_at = 0;
   std::uint64_t allocs = 0;
+  // Bumped by the owner on every retire, summed by stats().
+  std::atomic<std::uint64_t> n_retired{0};
 };
 static_assert(alignof(EraThread) == 64 && sizeof(EraThread) % 64 == 0,
               "EraThread must tile cache lines so the published "
@@ -164,7 +166,7 @@ class EraReclaimer final : public Reclaimer {
 
   void retire_slot(int tid, void* p) override {
     EraThread& t = slot(tid);
-    retired_.fetch_add(1, std::memory_order_relaxed);
+    t.n_retired.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t e = era_.load(std::memory_order_acquire);
     const std::uint64_t birth = static_cast<const NodeHeader*>(p)->birth_era;
     t.retired.push_back(RetiredNode{p, birth, e});
@@ -230,10 +232,7 @@ class EraReclaimer final : public Reclaimer {
   }
 
   SmrStats stats() const override {
-    SmrStats st;
-    st.retired = retired_.load(std::memory_order_relaxed);
-    st.freed = executor_->total_freed();
-    st.pending = st.retired - st.freed;
+    SmrStats st = retire_ledger(*executor_, threads_);
     st.epochs_advanced = era_.load(std::memory_order_relaxed) - 1;
     return st;
   }
@@ -354,7 +353,7 @@ class EraReclaimer final : public Reclaimer {
   void advance_era(int tid) {
     const std::uint64_t e =
         era_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    record_progress_beat(ctx_, tid, e, stats().pending);
+    record_progress_beat(ctx_, tid, e, [this] { return stats().pending; });
   }
 
   const char* name_;
@@ -365,7 +364,6 @@ class EraReclaimer final : public Reclaimer {
   std::size_t epoch_freq_;
   std::vector<EraThread> threads_;
   std::atomic<std::uint64_t> era_{1};
-  std::atomic<std::uint64_t> retired_{0};
 };
 
 }  // namespace

@@ -32,12 +32,20 @@ namespace {
 
 struct alignas(64) HpThread {
   std::unique_ptr<std::atomic<void*>[]> slots;
-  std::vector<void*> retired;
+  // Owner-private bookkeeping on its own line: every scan reads every
+  // thread's `slots` pointer, and the owner bumps n_retired on every
+  // retire.
+  alignas(64) std::vector<void*> retired;
   // Next retired-list size that triggers a scan; grows past the base
   // threshold while every candidate stays protected so a pinned scan
   // cannot degenerate into O(n) work per retire.
   std::size_t scan_at = 0;
+  // Bumped by the owner on every retire, summed by stats().
+  std::atomic<std::uint64_t> n_retired{0};
 };
+static_assert(alignof(HpThread) == 64 && sizeof(HpThread) % 64 == 0,
+              "HpThread must tile cache lines so a scan's read of slots "
+              "never shares one with the owner's retire counter");
 
 class HpReclaimer final : public Reclaimer {
  public:
@@ -84,10 +92,7 @@ class HpReclaimer final : public Reclaimer {
   }
 
   SmrStats stats() const override {
-    SmrStats st;
-    st.retired = retired_.load(std::memory_order_relaxed);
-    st.freed = executor_->total_freed();
-    st.pending = st.retired - st.freed;
+    SmrStats st = retire_ledger(*executor_, threads_);
     st.epochs_advanced = scans_.load(std::memory_order_relaxed);
     return st;
   }
@@ -126,7 +131,7 @@ class HpReclaimer final : public Reclaimer {
 
   void retire_slot(int slot_idx, void* p) override {
     HpThread& t = slot(slot_idx);
-    retired_.fetch_add(1, std::memory_order_relaxed);
+    t.n_retired.fetch_add(1, std::memory_order_relaxed);
     t.retired.push_back(p);
     if (t.retired.size() >= t.scan_at) scan(slot_idx, t);
   }
@@ -194,9 +199,10 @@ class HpReclaimer final : public Reclaimer {
     t.retired = std::move(keep);
     t.scan_at = next_scan_at(scan_threshold(), t.retired.size());
 
-    scans_.fetch_add(1, std::memory_order_relaxed);
-    const SmrStats st = stats();
-    record_progress_beat(ctx_, slot_idx, st.epochs_advanced, st.pending);
+    const std::uint64_t beat =
+        scans_.fetch_add(1, std::memory_order_relaxed) + 1;
+    record_progress_beat(ctx_, slot_idx, beat,
+                         [this] { return stats().pending; });
     if (!bag.empty()) {
       executor_->hand_over(slot_idx, departing, std::move(bag));
     }
@@ -207,7 +213,6 @@ class HpReclaimer final : public Reclaimer {
   std::size_t nlanes_;
   std::size_t nslots_;
   std::vector<HpThread> threads_;
-  std::atomic<std::uint64_t> retired_{0};
   std::atomic<std::uint64_t> scans_{0};
 };
 

@@ -3,6 +3,8 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <memory>
 
 #include "core/timing.hpp"
@@ -14,16 +16,35 @@ namespace emr::smr::internal {
 /// Records one scheme progress beat — an epoch advance, era tick, token
 /// rotation, or HP scan — into the trial instruments. Every scheme
 /// funnels through here so the cross-scheme timelines and garbage
-/// censuses stay comparable.
-inline void record_progress_beat(const SmrContext& ctx, int tid,
-                                 std::uint64_t beat, std::uint64_t pending) {
+/// censuses stay comparable. `pending` is a callable returning the
+/// scheme's stats().pending; it runs only when a garbage census is
+/// armed, so an unobserved advance never sums the per-slot counters.
+template <class PendingFn>
+void record_progress_beat(const SmrContext& ctx, int tid,
+                          std::uint64_t beat, PendingFn&& pending) {
   if (ctx.timeline != nullptr && ctx.timeline->enabled()) {
     const std::uint64_t now = now_ns();
     ctx.timeline->record(tid, EventKind::kEpochAdvance, now, now);
   }
   if (ctx.garbage != nullptr && ctx.garbage->enabled()) {
-    ctx.garbage->record(beat, pending);
+    ctx.garbage->record(beat, pending());
   }
+}
+
+/// The retired/freed/pending part of a scheme's stats(): `freed` is the
+/// executor's per-lane drained sum, `retired` the sum of every slot's
+/// `n_retired`. Exits are read before entries — a node is counted
+/// retired before it can be counted freed — so a snapshot taken while
+/// ops run reads retired >= freed and `pending` never wraps.
+template <class Slots>
+SmrStats retire_ledger(const FreeExecutor& executor, const Slots& slots) {
+  SmrStats st;
+  st.freed = executor.total_freed();
+  for (const auto& s : slots) {
+    st.retired += s.n_retired.load(std::memory_order_relaxed);
+  }
+  st.pending = st.retired - st.freed;
+  return st;
 }
 
 /// Next retire-list size that should trigger a scan, given what the

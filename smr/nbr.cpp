@@ -69,6 +69,8 @@ struct alignas(64) NbrThread {
   alignas(64) std::vector<RetiredNode> retired;
   std::size_t scan_at = 0;
   std::uint64_t allocs = 0;
+  // Bumped by the owner on every retire, summed by stats().
+  std::atomic<std::uint64_t> n_retired{0};
 };
 static_assert(alignof(NbrThread) == 64 && sizeof(NbrThread) % 64 == 0,
               "NbrThread must tile cache lines so start/neutralize never "
@@ -128,7 +130,7 @@ class NbrReclaimer final : public Reclaimer {
 
   void retire_slot(int tid, void* p) override {
     NbrThread& t = slot(tid);
-    retired_.fetch_add(1, std::memory_order_relaxed);
+    t.n_retired.fetch_add(1, std::memory_order_relaxed);
     t.retired.push_back(
         RetiredNode{p, era_.load(std::memory_order_acquire)});
     if (t.retired.size() < t.scan_at) return;
@@ -182,10 +184,7 @@ class NbrReclaimer final : public Reclaimer {
   }
 
   SmrStats stats() const override {
-    SmrStats st;
-    st.retired = retired_.load(std::memory_order_relaxed);
-    st.freed = executor_->total_freed();
-    st.pending = st.retired - st.freed;
+    SmrStats st = retire_ledger(*executor_, threads_);
     st.epochs_advanced = era_.load(std::memory_order_relaxed) - 1;
     return st;
   }
@@ -248,7 +247,7 @@ class NbrReclaimer final : public Reclaimer {
   void advance_era(int tid) {
     const std::uint64_t e =
         era_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    record_progress_beat(ctx_, tid, e, stats().pending);
+    record_progress_beat(ctx_, tid, e, [this] { return stats().pending; });
   }
 
   const char* name_;
@@ -258,7 +257,6 @@ class NbrReclaimer final : public Reclaimer {
   std::size_t epoch_freq_;
   std::vector<NbrThread> threads_;
   std::atomic<std::uint64_t> era_{1};
-  std::atomic<std::uint64_t> retired_{0};
   std::atomic<std::uint64_t> neutralized_{0};
 };
 

@@ -379,10 +379,9 @@ class FreeExecutor {
   /// Frees any backlog held for `lane`. Single-threaded use only.
   virtual void quiesce(int lane);
 
-  /// Nodes this executor has freed or recycled (== left limbo).
-  std::uint64_t total_freed() const {
-    return freed_.load(std::memory_order_relaxed);
-  }
+  /// Nodes this executor has freed or recycled (== left limbo): the
+  /// sum of every lane's `drained`.
+  std::uint64_t total_freed() const;
 
   // ---- home-flush routing (docs/FREE_SCHEDULES.md) ----
 
@@ -653,7 +652,6 @@ class FreeExecutor {
   std::atomic<bool> teardown_{false};
   std::vector<LaneState> lanes_;
   std::vector<RemoteStash> stash_;
-  std::atomic<std::uint64_t> freed_{0};
   // lane-major [lane][tenant] grids, allocated only when multi-tenant.
   std::unique_ptr<std::atomic<std::uint64_t>[]> tenant_retired_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> tenant_enqueued_;

@@ -51,6 +51,8 @@ struct alignas(64) TokenSlot {
   std::mutex mu;  // naive's holder drains other threads' queues
   std::vector<void*> bag;
   std::deque<SealedBag> sealed;
+  // Bumped by the owner on every retire, summed by stats().
+  std::atomic<std::uint64_t> n_retired{0};
 };
 
 class TokenReclaimer final : public Reclaimer {
@@ -84,10 +86,7 @@ class TokenReclaimer final : public Reclaimer {
   }
 
   SmrStats stats() const override {
-    SmrStats st;
-    st.retired = retired_.load(std::memory_order_relaxed);
-    st.freed = executor_->total_freed();
-    st.pending = st.retired - st.freed;
+    SmrStats st = retire_ledger(*executor_, slots_);
     st.epochs_advanced = passes_.load(std::memory_order_relaxed) /
                          static_cast<std::uint64_t>(nlanes_);
     return st;
@@ -127,7 +126,7 @@ class TokenReclaimer final : public Reclaimer {
 
   void retire_slot(int slot_idx, void* p) override {
     TokenSlot& s = slot(slot_idx);
-    retired_.fetch_add(1, std::memory_order_relaxed);
+    s.n_retired.fetch_add(1, std::memory_order_relaxed);
     const std::size_t threshold = seal_threshold();
     std::lock_guard<std::mutex> lock(s.mu);
     s.bag.push_back(p);
@@ -251,7 +250,8 @@ class TokenReclaimer final : public Reclaimer {
         passes_.fetch_add(1, std::memory_order_acq_rel) + 1;
     if (p % static_cast<std::uint64_t>(nlanes_) == 0) {
       const std::uint64_t rotation = p / static_cast<std::uint64_t>(nlanes_);
-      record_progress_beat(ctx_, slot_idx, rotation, stats().pending);
+      record_progress_beat(ctx_, slot_idx, rotation,
+                           [this] { return stats().pending; });
     }
   }
 
@@ -315,7 +315,6 @@ class TokenReclaimer final : public Reclaimer {
   // version 0.
   std::atomic<std::uint64_t> holder_{0};
   std::atomic<std::uint64_t> passes_{0};
-  std::atomic<std::uint64_t> retired_{0};
 };
 
 }  // namespace

@@ -5,11 +5,16 @@
 // the invariants are asserted per name: alloc/free exactness, the
 // remote-free attribution, and the >4096 B large-allocation bypass
 // (large blocks skip the caches, so a cross-thread large free is not a
-// remote free — there is no thread cache to miss).
+// remote free — there is no thread cache to miss). The grouped-flush
+// tests pin the modelled tcache flush itself: one central-lock hold per
+// distinct home arena (je) or per 16-block transfer (tc), while the
+// flush count, remote attribution, home-only routing and the
+// per-foreign-block penalty keep the model's rules.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -110,6 +115,101 @@ TEST_P(AllocStatsTest, MappedBytesTrackLiveMemory) {
   EXPECT_LT(after.bytes_mapped, mid.bytes_mapped);
   EXPECT_GE(after.peak_bytes_mapped, base_peak);
   EXPECT_GE(after.peak_bytes_mapped, after.bytes_mapped);
+}
+
+// Blocks allocated round-robin on lanes 0..kLanes-1 and all freed on
+// lane 0: the (tcache_cap + 1)-th free overflows lane 0's cache, and the
+// flush set mixes every lane's blocks.
+constexpr int kLanes = 3;
+constexpr std::size_t kCap = 128;
+constexpr std::size_t kBlock = 240;
+
+alloc::AllocConfig flush_config() {
+  alloc::AllocConfig cfg;
+  cfg.max_threads = kLanes;
+  cfg.tcache_cap = kCap;
+  return cfg;
+}
+
+struct MixedFlush {
+  std::vector<void*> blocks;  // in allocation (== free) order
+  std::vector<int> owner;     // lane that allocated blocks[i]
+  alloc::AllocTotals before;  // after the allocations
+  alloc::AllocTotals after;   // after every free
+};
+
+MixedFlush free_mixed_on_lane0(alloc::Allocator& a) {
+  MixedFlush f;
+  for (std::size_t i = 0; i <= kCap; ++i) {
+    const int lane = static_cast<int>(i % kLanes);
+    f.blocks.push_back(a.allocate(lane, kBlock));
+    f.owner.push_back(lane);
+  }
+  f.before = a.stats().totals;
+  for (void* p : f.blocks) a.deallocate(0, p);
+  f.after = a.stats().totals;
+  return f;
+}
+
+TEST(GroupedFlush, JeTakesOneLockHoldPerHomeArena) {
+  auto a = alloc::make_allocator("je_model", flush_config());
+  const MixedFlush f = free_mixed_on_lane0(*a);
+
+  // The cache is LIFO and flushes half its capacity: the flush set is
+  // the last kCap / 2 blocks freed.
+  const std::size_t nmove = kCap / 2;
+  std::set<int> homes;
+  std::vector<std::size_t> per_home(kLanes, 0);
+  for (std::size_t i = f.blocks.size() - nmove; i < f.blocks.size(); ++i) {
+    homes.insert(f.owner[i]);
+    ++per_home[static_cast<std::size_t>(f.owner[i])];
+  }
+  ASSERT_EQ(homes.size(), static_cast<std::size_t>(kLanes));
+
+  EXPECT_EQ(f.after.n_flush - f.before.n_flush, 1u);
+  std::uint64_t foreign = 0;
+  for (int o : f.owner) foreign += o != 0 ? 1 : 0;
+  EXPECT_EQ(f.after.n_remote_free - f.before.n_remote_free, foreign);
+  EXPECT_EQ(f.after.n_lock - f.before.n_lock, homes.size());
+
+  // Every flushed block went home: a refill on lane k draws only
+  // blocks lane k allocated.
+  for (int k = 1; k < kLanes; ++k) {
+    std::set<void*> mine;
+    for (std::size_t i = 0; i < f.blocks.size(); ++i) {
+      if (f.owner[i] == k) mine.insert(f.blocks[i]);
+    }
+    for (std::size_t j = 0; j < per_home[static_cast<std::size_t>(k)]; ++j) {
+      void* p = a->allocate(k, kBlock);
+      EXPECT_EQ(mine.count(p), 1u) << "lane " << k << " refill #" << j;
+    }
+  }
+}
+
+TEST(GroupedFlush, JeStillPaysThePenaltyPerForeignBlock) {
+  alloc::AllocConfig cfg = flush_config();
+  cfg.remote_free_penalty_ns = 20000;
+  cfg.remote_penalty_explicit = true;
+  auto a = alloc::make_allocator("je_model", cfg);
+  const MixedFlush f = free_mixed_on_lane0(*a);
+
+  std::uint64_t foreign_flushed = 0;
+  for (std::size_t i = f.blocks.size() - kCap / 2; i < f.blocks.size(); ++i) {
+    foreign_flushed += f.owner[i] != 0 ? 1 : 0;
+  }
+  ASSERT_GT(foreign_flushed, 0u);
+  EXPECT_GE(f.after.ns_in_flush - f.before.ns_in_flush,
+            foreign_flushed * cfg.remote_free_penalty_ns);
+}
+
+TEST(GroupedFlush, TcMovesSixteenBlocksPerHold) {
+  auto a = alloc::make_allocator("tc_model", flush_config());
+  const MixedFlush f = free_mixed_on_lane0(*a);
+  // tcmalloc returns the whole overflowing list (kCap + 1 blocks) to
+  // its single central arena, 16 blocks per lock hold.
+  const std::uint64_t nmove = kCap + 1;
+  EXPECT_EQ(f.after.n_flush - f.before.n_flush, 1u);
+  EXPECT_EQ(f.after.n_lock - f.before.n_lock, (nmove + 15) / 16);
 }
 
 INSTANTIATE_TEST_SUITE_P(

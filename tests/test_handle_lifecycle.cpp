@@ -126,6 +126,49 @@ TEST_P(HandleLifecycleTest, ReleasedHandleBacklogReachesTotalFreed) {
   EXPECT_EQ(w.allocator.live(), 0u) << name;
 }
 
+// The retire ledger read while ops run: stats() reads the executor's
+// freed count before the per-slot retire counters, so a live snapshot
+// never shows freed > retired (pending would wrap), and the books close
+// exactly at teardown.
+TEST_P(HandleLifecycleTest, LedgerNeverWrapsWhileOpsRun) {
+  const std::string name = GetParam();
+  constexpr int kWorkers = 2;
+  constexpr int kRetires = 1500;
+  LifecycleWorld w(name, kWorkers);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> wrapped{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      const smr::SmrStats st = w.r().stats();
+      if (st.freed > st.retired) wrapped.fetch_add(1);
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kWorkers; ++t) {
+    workers.emplace_back([&] {
+      smr::ThreadHandle h = w.r().register_thread();
+      for (int i = 0; i < kRetires; ++i) {
+        smr::Guard g(h);
+        g.retire(w.r().alloc_node(h, 64));
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  stop.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(wrapped.load(), 0u) << name;
+  w.r().flush_all();
+  const smr::SmrStats st = w.r().stats();
+  EXPECT_EQ(st.retired, static_cast<std::uint64_t>(kWorkers * kRetires))
+      << name;
+  EXPECT_EQ(st.freed, st.retired) << name;
+  EXPECT_EQ(st.pending, 0u) << name;
+  EXPECT_EQ(w.allocator.live(), 0u) << name;
+}
+
 TEST(HandleLifecycle, DetachedHandleFailsFast) {
   LifecycleWorld w("debra");
   smr::ThreadHandle h = w.r().register_thread();
